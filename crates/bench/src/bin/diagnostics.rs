@@ -99,7 +99,7 @@ fn main() {
             let start = std::time::Instant::now();
             let program = entry
                 .backend()
-                .compile_circuit(&instance.circuit, &arch)
+                .compile(&instance.circuit, &arch)
                 .unwrap_or_else(|e| panic!("{} compiles: {e}", entry.id()));
             let measured = start.elapsed().as_secs_f64();
             samples.push(program.metadata().compile_time.unwrap_or(measured));

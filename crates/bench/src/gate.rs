@@ -25,10 +25,7 @@
 //! The baseline file is **schema v2**: a top-level `version` field, one
 //! `shard` label per entry, and the compile wall clock stored as a
 //! `{"samples": [...], "median": ..., "ci_low": ..., "ci_high": ...}`
-//! object. Legacy v1 files (scalar `compile_time_s`, no version) still
-//! parse — each scalar becomes a single-sample statistic with a degenerate
-//! interval, and the next full `--update` relabels every live cell from the
-//! current shard registry (and prunes cells no shard gates any more).
+//! object. [`Baseline::parse`] rejects any other schema version.
 //!
 //! [`run_matrix`]: crate::run_matrix
 
@@ -99,8 +96,7 @@ pub struct BaselineEntry {
     pub compiler: String,
     /// Benchmark name, e.g. `"QAOA-regular3-30"`.
     pub benchmark: String,
-    /// Name of the shard that gates this cell, e.g. `"table2/small"`
-    /// (empty for entries read from a legacy v1 baseline).
+    /// Name of the shard that gates this cell, e.g. `"table2/small"`.
     pub shard: String,
     /// Output fidelity excluding the 1Q factor.
     pub fidelity: f64,
@@ -255,26 +251,23 @@ impl Baseline {
 
     /// Parses the JSON text of a baseline file.
     ///
-    /// Accepts both the current v2 schema (`{"version": 2, "entries":
-    /// [...]}` with `shard` labels and `compile_time` sample objects) and
-    /// the legacy v1 shape (no `version`, scalar `compile_time_s`, no
-    /// `shard`); v1 scalars become single-sample statistics.
+    /// Accepts only the v2 schema (`{"version": 2, "entries": [...]}` with
+    /// `shard` labels and `compile_time` sample objects).
     ///
     /// # Errors
     ///
     /// Returns [`GateError::Parse`] on malformed JSON, missing/mistyped
-    /// fields, or an unknown schema version.
+    /// fields, or a missing or unknown schema version.
     pub fn parse(text: &str) -> Result<Self, GateError> {
         let root = serde_json::from_str(text).map_err(|e| GateError::Parse(e.to_string()))?;
-        let version = match root.get("version") {
-            None => 1,
-            Some(v) => v
-                .as_i64()
-                .ok_or_else(|| GateError::Parse("`version` is not an integer".to_string()))?,
-        };
-        if version != 1 && version != BASELINE_VERSION {
+        let version = root
+            .get("version")
+            .ok_or_else(|| GateError::Parse("missing top-level `version`".to_string()))?
+            .as_i64()
+            .ok_or_else(|| GateError::Parse("`version` is not an integer".to_string()))?;
+        if version != BASELINE_VERSION {
             return Err(GateError::Parse(format!(
-                "unsupported baseline schema version {version} (expected 1 or {BASELINE_VERSION})"
+                "unsupported baseline schema version {version} (expected {BASELINE_VERSION})"
             )));
         }
         let entries = root
@@ -287,22 +280,12 @@ impl Baseline {
             .map(|(index, entry)| {
                 let compiler = str_field(entry, "compiler", index)?;
                 let benchmark = str_field(entry, "benchmark", index)?;
-                let (shard, compile_time) = if version == 1 {
-                    (
-                        String::new(),
-                        SampleStats::single(f64_field(entry, "compile_time_s", index)?),
-                    )
-                } else {
-                    let stats_value = field(entry, "compile_time", index)?;
-                    let stats = SampleStats::from_value(stats_value).map_err(|e| {
-                        GateError::Parse(format!("entry {index}: `compile_time` {e}"))
-                    })?;
-                    (str_field(entry, "shard", index)?, stats)
-                };
+                let compile_time = SampleStats::from_value(field(entry, "compile_time", index)?)
+                    .map_err(|e| GateError::Parse(format!("entry {index}: `compile_time` {e}")))?;
                 Ok(BaselineEntry {
                     compiler,
                     benchmark,
-                    shard,
+                    shard: str_field(entry, "shard", index)?,
                     fidelity: f64_field(entry, "fidelity", index)?,
                     execution_time_us: f64_field(entry, "execution_time_us", index)?,
                     compile_time,
@@ -369,9 +352,8 @@ impl Baseline {
     ///   that shard no longer gates (the shard definition shrank);
     /// * when `prune_shards` covers **every** current shard (a full,
     ///   unfiltered `--update`), entries whose cell no shard gates at all —
-    ///   this is what cleans out cells left behind by a removed benchmark
-    ///   or carried over from a legacy v1 baseline (whose recorded shard
-    ///   label is empty).
+    ///   this is what cleans out cells left behind by a removed benchmark,
+    ///   whatever shard label they were recorded under.
     ///
     /// Pass an empty list — e.g. for a `--filter`ed update — to prune
     /// nothing. The result is sorted into canonical order
@@ -743,7 +725,7 @@ mod tests {
 
     #[test]
     fn single_sample_baseline_cell_still_gates_correctly() {
-        // A cell recorded with one sample (legacy v1 import or --repeats 1)
+        // A cell recorded with one sample (--repeats 1)
         // has a degenerate [value, value] interval: the gate must still
         // pass identical runs, flag regressions past the slack, and report
         // improvements — never divide by a zero-width notch into NaN.
@@ -843,22 +825,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_baselines_parse_as_single_samples() {
-        let v1 = r#"{"entries": [{"compiler": "enola", "benchmark": "BV-14",
-            "fidelity": 0.8, "execution_time_us": 1000.0, "compile_time_s": 2.0,
-            "stages": 10, "transfers": 40, "cz_gates": 15}]}"#;
-        let parsed = Baseline::parse(v1).unwrap();
-        assert_eq!(parsed.entries.len(), 1);
-        let entry = &parsed.entries[0];
-        assert_eq!(entry.shard, "", "v1 carries no shard labels");
-        assert_eq!(entry.compile_time, SampleStats::single(2.0));
-        assert_eq!(entry.compile_time.ci(), (2.0, 2.0));
-    }
-
-    #[test]
     fn unknown_schema_versions_are_rejected() {
         let err = Baseline::parse(r#"{"version": 99, "entries": []}"#).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
+        let err = Baseline::parse(r#"{"version": 1, "entries": []}"#).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        // The unversioned v1 shape (scalar `compile_time_s`, no shard).
+        let v1 = r#"{"entries": [{"compiler": "enola", "benchmark": "BV-14",
+            "fidelity": 0.8, "execution_time_us": 1000.0, "compile_time_s": 2.0,
+            "stages": 10, "transfers": 40, "cz_gates": 15}]}"#;
+        let err = Baseline::parse(v1).unwrap_err();
+        assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
@@ -868,20 +845,22 @@ mod tests {
             Err(GateError::Parse(_))
         ));
         assert!(matches!(
-            Baseline::parse(r#"{"no_entries": []}"#),
+            Baseline::parse(r#"{"version": 2, "no_entries": []}"#),
             Err(GateError::Parse(_))
         ));
-        let missing = r#"{"entries": [{"compiler": "x"}]}"#;
+        let missing = r#"{"version": 2, "entries": [{"compiler": "x"}]}"#;
         let err = Baseline::parse(missing).unwrap_err();
         assert!(err.to_string().contains("benchmark"));
-        let mistyped = r#"{"entries": [{"compiler": "x", "benchmark": "y",
-            "fidelity": "high", "execution_time_us": 1.0, "compile_time_s": 1.0,
-            "stages": 1, "transfers": 1, "cz_gates": 1}]}"#;
+        let mistyped = r#"{"version": 2, "entries": [{"compiler": "x", "benchmark": "y",
+            "shard": "s", "fidelity": "high", "execution_time_us": 1.0,
+            "compile_time": {"samples": [1.0]}, "stages": 1, "transfers": 1,
+            "cz_gates": 1}]}"#;
         let err = Baseline::parse(mistyped).unwrap_err();
         assert!(err.to_string().contains("fidelity"));
-        let negative = r#"{"entries": [{"compiler": "x", "benchmark": "y",
-            "fidelity": 1.0, "execution_time_us": 1.0, "compile_time_s": 1.0,
-            "stages": -1, "transfers": 1, "cz_gates": 1}]}"#;
+        let negative = r#"{"version": 2, "entries": [{"compiler": "x", "benchmark": "y",
+            "shard": "s", "fidelity": 1.0, "execution_time_us": 1.0,
+            "compile_time": {"samples": [1.0]}, "stages": -1, "transfers": 1,
+            "cz_gates": 1}]}"#;
         assert!(Baseline::parse(negative).is_err());
         let bad_samples = r#"{"version": 2, "entries": [{"compiler": "x",
             "benchmark": "y", "shard": "s", "fidelity": 1.0,
@@ -963,14 +942,14 @@ mod tests {
     #[test]
     fn full_merged_update_prunes_orphaned_cells_even_with_unknown_labels() {
         let shards = ShardRegistry::standard(crate::DEFAULT_SEED);
-        // A legacy v1 entry (empty shard label) whose benchmark left the
+        // An entry with an empty shard label whose benchmark left the
         // suite: no shard gates it and no run will ever replace it.
         let mut orphan = entry("enola", "REMOVED-99");
         orphan.shard = String::new();
-        let mut live_v1 = entry("enola", "BV-14");
-        live_v1.shard = String::new();
+        let mut live_unlabelled = entry("enola", "BV-14");
+        live_unlabelled.shard = String::new();
         let old = Baseline {
-            entries: vec![orphan.clone(), live_v1.clone()],
+            entries: vec![orphan.clone(), live_unlabelled.clone()],
         };
 
         // A per-shard update must leave both untouched (conservative) …

@@ -53,9 +53,9 @@ pub const POWERMOVE_MULTI_AOD: &str = "powermove-multi-aod";
 /// router with a two-stage window.
 pub const POWERMOVE_LOOKAHEAD: &str = "powermove@lookahead2";
 /// Registry id of the with-storage configuration driven by the routing
-/// auto-tuner in portfolio mode: every candidate strategy compiles each
-/// instance and the schedule with the lower movement wall clock wins, so
-/// this variant can never move slower than any portfolio member.
+/// auto-tuner: every candidate strategy routes each instance and the
+/// schedule with the lower movement wall clock wins, so this variant can
+/// never move slower than any portfolio member.
 pub const POWERMOVE_AUTO: &str = "powermove-auto";
 
 /// One registered compilation strategy: a display id plus the backend.
@@ -379,7 +379,7 @@ pub fn run_on_architecture(
         let start = std::time::Instant::now();
         let program = entry
             .backend()
-            .compile_circuit(&instance.circuit, arch)
+            .compile(&instance.circuit, arch)
             .unwrap_or_else(|e| {
                 panic!(
                     "{} compilation failed on {}: {e}",
@@ -1446,11 +1446,10 @@ mod tests {
             }
             fn compile(
                 &self,
-                blocks: &powermove_circuit::BlockProgram,
+                circuit: &powermove_circuit::Circuit,
                 arch: &Architecture,
             ) -> Result<CompiledProgram, powermove::CompileError> {
-                PowerMoveCompiler::new(CompilerConfig::default())
-                    .compile_block_program(blocks, arch)
+                PowerMoveCompiler::new(CompilerConfig::default()).compile(circuit, arch)
             }
         }
 

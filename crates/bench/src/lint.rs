@@ -24,8 +24,8 @@
 //! | `fidelity-dominance` | the auto-tuner never moves slower than any portfolio member, and never scores below the worst member |
 //! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan |
 //!
-//! Everything here is deterministic: the corpus generator mirrors the
-//! seeded PRNG of `tests/routing_properties.rs`, shrinking is
+//! Everything here is deterministic: the corpus generator is a seeded PRNG
+//! (`tests/routing_properties.rs` drives the same corpus), shrinking is
 //! deterministic halving, and reproducer files carry no timestamps — the
 //! same seed always produces the same reproducer bytes.
 
@@ -431,7 +431,7 @@ pub fn lint_program(
 }
 
 // ---------------------------------------------------------------------------
-// The seeded corpus generator (mirrors tests/routing_properties.rs).
+// The seeded corpus generator (shared with tests/routing_properties.rs).
 // ---------------------------------------------------------------------------
 
 /// One generated gate, kept as data so a failing case can be shrunk and
@@ -556,15 +556,12 @@ impl CorpusInstance {
 }
 
 /// Shrinks a failing instance by halving its gate list while `fails` still
-/// reports violations, returning the minimal reproducer and its
-/// violations. Deterministic: the same instance and predicate always
-/// shrink to the same bytes.
-pub fn shrink_instance<F>(
-    instance: &CorpusInstance,
-    fails: F,
-) -> (CorpusInstance, Vec<LintViolation>)
+/// reports failures (lint violations, or any other failure type), returning
+/// the minimal reproducer and its failures. Deterministic: the same
+/// instance and predicate always shrink to the same bytes.
+pub fn shrink_instance<F, E>(instance: &CorpusInstance, fails: F) -> (CorpusInstance, Vec<E>)
 where
-    F: Fn(&CorpusInstance) -> Vec<LintViolation>,
+    F: Fn(&CorpusInstance) -> Vec<E>,
 {
     let mut smallest = instance.clone();
     let mut violations = fails(instance);

@@ -6,7 +6,7 @@ use crate::pipeline::{
 };
 use crate::routing::{AutoRouter, RoutingStrategy};
 use crate::{CompileError, CompilerConfig};
-use powermove_circuit::{BlockProgram, Circuit};
+use powermove_circuit::Circuit;
 use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::Architecture;
 use powermove_schedule::{CompiledProgram, Instruction, MovementClock, PassCounter, PassTiming};
@@ -193,12 +193,7 @@ impl<'a> RoutingSession<'a> {
     ) -> Result<Replay, CompileError> {
         let mut scratch = CompileContext::scratch();
         let inline = ThreadPool::new(Parallelism::fixed(1));
-        let routed = RoutePass::new(self.use_storage)
-            .with_strategy(strategy.clone())
-            .run(self.staged, arch, &mut scratch)?;
-        let instructions = MovePass::new(self.use_grouping)
-            .with_strategy(strategy)
-            .run(&routed, arch, &inline, &mut scratch);
+        let (routed, instructions) = self.back_end(arch, strategy, &inline, &mut scratch)?;
         let mut clock = MovementClock::new();
         let mut transfers = 0_usize;
         for instruction in &instructions {
@@ -214,6 +209,24 @@ impl<'a> RoutingSession<'a> {
             timings,
             counters,
         })
+    }
+
+    /// The compiler back end — `RoutePass → MovePass` for one strategy —
+    /// recording into `ctx` and fanning move scheduling out over `pool`.
+    fn back_end(
+        &self,
+        arch: &Architecture,
+        strategy: Arc<dyn RoutingStrategy>,
+        pool: &ThreadPool,
+        ctx: &mut CompileContext,
+    ) -> Result<(RoutedProgram, Vec<Instruction>), CompileError> {
+        let routed = RoutePass::new(self.use_storage)
+            .with_strategy(strategy.clone())
+            .run(self.staged, arch, ctx)?;
+        let instructions = MovePass::new(self.use_grouping)
+            .with_strategy(strategy)
+            .run(&routed, arch, pool, ctx);
+        Ok((routed, instructions))
     }
 }
 
@@ -385,8 +398,8 @@ impl PowerMoveCompiler {
     }
 
     /// The display name of the active routing configuration: the registered
-    /// override's name, or the configured strategy kind (`"auto"` /
-    /// `"auto-model"` for auto-tuning configurations).
+    /// override's name, or the configured strategy kind (`"auto"` for the
+    /// auto-tuning configuration).
     #[must_use]
     pub fn strategy_name(&self) -> &str {
         match &self.strategy {
@@ -396,6 +409,9 @@ impl PowerMoveCompiler {
     }
 
     /// Compiles a circuit for the given architecture.
+    ///
+    /// The program's `compile_time` spans the whole pipeline, synthesis
+    /// through emission.
     ///
     /// # Errors
     ///
@@ -410,23 +426,12 @@ impl PowerMoveCompiler {
     ) -> Result<CompiledProgram, CompileError> {
         let mut ctx = CompileContext::new();
         arch.check_capacity(circuit.num_qubits())?;
-        let block_program = SynthesisPass.run(circuit, &mut ctx);
-        self.compile_with_context(&block_program, arch, ctx)
-    }
-
-    /// Compiles an already-synthesized block program.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PowerMoveCompiler::compile`].
-    pub fn compile_block_program(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError> {
-        let ctx = CompileContext::new();
-        arch.check_capacity(block_program.num_qubits())?;
-        self.compile_with_context(block_program, arch, ctx)
+        // One pool per compilation: workers are only alive while a parallel
+        // pass drains, and `threads == 1` (or `POWERMOVE_THREADS=1`) runs
+        // the passes inline with byte-identical output.
+        let pool = self.pool();
+        let staged = self.front_end(circuit, &pool, &mut ctx);
+        self.emit_staged(&staged, arch, &pool, ctx)
     }
 
     /// Runs the compiler front end: synthesis plus stage partitioning.
@@ -462,9 +467,7 @@ impl PowerMoveCompiler {
         // A scratch context: no end-to-end clock is running, so the IR
         // carries only per-pass records. `emit` starts the program clock.
         let mut ctx = CompileContext::scratch();
-        let block_program = SynthesisPass.run(circuit, &mut ctx);
-        let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        let staged = StagePass::new(self.config.alpha).run(&block_program, &pool, &mut ctx);
+        let staged = self.front_end(circuit, &self.pool(), &mut ctx);
         let (timings, counters) = ctx.into_parts();
         StagedIr {
             staged,
@@ -479,7 +482,9 @@ impl PowerMoveCompiler {
     /// The emitted program's metadata folds in the front-end timings and
     /// counters carried by the IR, so it reports the same deterministic
     /// counters as an all-in-one [`PowerMoveCompiler::compile`] of the
-    /// original circuit.
+    /// original circuit. To emit one IR under several strategies, pin each
+    /// with [`PowerMoveCompiler::with_strategy`]:
+    /// `compiler.clone().with_strategy(s).emit(&ir, &arch)`.
     ///
     /// # Errors
     ///
@@ -495,7 +500,7 @@ impl PowerMoveCompiler {
             ir.timings.clone(),
             ir.counters.clone(),
         ));
-        self.emit_staged(&ir.staged, arch, ctx)
+        self.emit_staged(&ir.staged, arch, &self.pool(), ctx)
     }
 
     /// Opens a [`RoutingSession`] over a staged IR, carrying the compiler's
@@ -512,101 +517,43 @@ impl PowerMoveCompiler {
         )
     }
 
-    /// Emits a staged IR with an explicit routing strategy, bypassing both
-    /// the configured strategy and auto-tuning.
-    ///
-    /// This is [`PowerMoveCompiler::emit`] with the strategy pinned per
-    /// call: one shared front-end pass ([`PowerMoveCompiler::stage`]) can be
-    /// emitted under many strategies without restaging, and the output is
-    /// byte-identical to a full compile configured with the same strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PowerMoveCompiler::compile`].
-    pub fn emit_with_strategy(
-        &self,
-        ir: &StagedIr,
-        arch: &Architecture,
-        strategy: Arc<dyn RoutingStrategy>,
-    ) -> Result<CompiledProgram, CompileError> {
-        arch.check_capacity(ir.num_qubits())?;
-        let mut ctx = CompileContext::new();
-        ctx.merge(CompileContext::from_parts(
-            ir.timings.clone(),
-            ir.counters.clone(),
-        ));
-        let replay = self.session(ir).replay(arch, strategy)?;
-        let Replay {
-            routed,
-            instructions,
-            timings,
-            counters,
-            ..
-        } = replay;
-        ctx.merge(CompileContext::from_parts(timings, counters));
-        let metadata = ctx.finish(
-            "powermove",
-            self.config.use_storage,
-            ir.num_stages(),
-            arch.num_aods(),
-        );
-        Ok(CompiledProgram::new(
-            arch.clone(),
-            routed.num_qubits(),
-            routed.initial_layout().clone(),
-            instructions,
-        )
-        .with_metadata(metadata))
+    /// The work-stealing pool sized by [`CompilerConfig::threads`].
+    fn pool(&self) -> ThreadPool {
+        ThreadPool::new(Parallelism::from_setting(self.config.threads))
     }
 
-    /// Runs the `StagePass → RoutePass → MovePass → emission` tail of the
-    /// pipeline over an existing [`CompileContext`].
-    fn compile_with_context(
+    /// The compiler front end — `SynthesisPass → StagePass` — recording
+    /// into `ctx`.
+    fn front_end(
         &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-        mut ctx: CompileContext,
-    ) -> Result<CompiledProgram, CompileError> {
-        // One pool per compilation: workers are only alive while a parallel
-        // pass drains, and `threads == 1` (or `POWERMOVE_THREADS=1`) runs
-        // the passes inline with byte-identical output.
-        let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        let staged = StagePass::new(self.config.alpha).run(block_program, &pool, &mut ctx);
-        self.emit_staged(&staged, arch, ctx)
+        circuit: &Circuit,
+        pool: &ThreadPool,
+        ctx: &mut CompileContext,
+    ) -> StagedProgram {
+        let blocks = SynthesisPass.run(circuit, ctx);
+        StagePass::new(self.config.alpha).run(&blocks, pool, ctx)
     }
 
-    /// Runs the `RoutePass → MovePass → emission` back end over an existing
-    /// [`CompileContext`].
+    /// Runs the back end over `staged` and emits the program, closing
+    /// `ctx`'s clock.
     fn emit_staged(
         &self,
         staged: &StagedProgram,
         arch: &Architecture,
+        pool: &ThreadPool,
         mut ctx: CompileContext,
     ) -> Result<CompiledProgram, CompileError> {
-        let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
+        let session =
+            RoutingSession::new(staged, self.config.use_storage, self.config.use_grouping);
         // An auto-tuning configuration (no custom override) is resolved per
         // instance: the AutoRouter picks the winning portfolio strategy and
         // records it in the metadata. Every other configuration runs the
-        // fixed strategy through the same two passes.
+        // fixed strategy through the same back end.
         let (routed, instructions) =
             if self.strategy.is_none() && self.config.routing.strategy.is_auto() {
-                AutoRouter::from_config(&self.config.routing).run(
-                    staged,
-                    arch,
-                    self.config.use_storage,
-                    self.config.use_grouping,
-                    &pool,
-                    &mut ctx,
-                )?
+                AutoRouter::from_config(&self.config.routing).run(&session, arch, pool, &mut ctx)?
             } else {
-                let strategy = self.routing_strategy();
-                let routed = RoutePass::new(self.config.use_storage)
-                    .with_strategy(strategy.clone())
-                    .run(staged, arch, &mut ctx)?;
-                let instructions = MovePass::new(self.config.use_grouping)
-                    .with_strategy(strategy)
-                    .run(&routed, arch, &pool, &mut ctx);
-                (routed, instructions)
+                session.back_end(arch, self.routing_strategy(), pool, &mut ctx)?
             };
 
         let metadata = ctx.finish(
@@ -641,14 +588,6 @@ impl CompilerBackend for PowerMoveCompiler {
     }
 
     fn compile(
-        &self,
-        blocks: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError> {
-        self.compile_block_program(blocks, arch)
-    }
-
-    fn compile_circuit(
         &self,
         circuit: &Circuit,
         arch: &Architecture,
@@ -699,6 +638,38 @@ mod tests {
         assert!(p.metadata().uses_storage);
         assert!(p.metadata().compile_time.is_some());
         assert!(p.rydberg_stage_count() >= 2);
+    }
+
+    #[test]
+    fn compile_time_spans_synthesis_through_emission() {
+        // Many 1Q/CZ layers, so the front end does measurable work.
+        let mut circuit = Circuit::new(64);
+        for layer in 0..16 {
+            for i in 0..64 {
+                circuit.h(q(i)).unwrap();
+            }
+            for i in 0..64 {
+                circuit.cz(q(i), q((i + 1 + layer) % 64)).unwrap();
+            }
+        }
+        let program = PowerMoveCompiler::new(CompilerConfig::default().with_threads(1))
+            .compile(&circuit, &Architecture::for_qubits(64))
+            .unwrap();
+        let metadata = program.metadata();
+        for pass in [
+            SynthesisPass::NAME,
+            StagePass::NAME,
+            RoutePass::NAME,
+            MovePass::NAME,
+        ] {
+            assert!(metadata.pass_seconds(pass).is_some(), "missing {pass}");
+        }
+        let passes: f64 = metadata.pass_timings.iter().map(|t| t.seconds).sum();
+        let compile_time = metadata.compile_time.expect("compile starts the clock");
+        assert!(
+            compile_time >= passes,
+            "compile_time {compile_time} s < summed pass timings {passes} s"
+        );
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!   the paper's [`GreedyRouter`] (Sec. 5), a [`LookaheadRouter`] scoring
 //!   sites against upcoming stages, and a [`MultiAodScheduler`] that
 //!   balances move windows across the machine's AOD arrays — plus an
-//!   auto-tuning layer ([`AutoRouter`], [`CostModel`]) that selects the
-//!   winning strategy per instance, by portfolio compilation or cost-model
-//!   prediction;
+//!   auto-tuning layer ([`AutoRouter`]) that selects the winning strategy
+//!   per instance by replaying the whole portfolio;
 //! * the **coll-move scheduler** (Sec. 6): orders collective moves to
 //!   maximize storage-zone dwell time and packs them onto multiple AOD
 //!   arrays ([`order_coll_moves`], [`pack_move_groups`],
@@ -93,10 +92,9 @@ pub use pipeline::{
     RoutedStage, StagePass, StagedProgram, StagedSegment, SynthesisPass,
 };
 pub use routing::{
-    greedy_move_schedule, group_stage_moves, movement_wall_clock, AutoRouter, BiasFn, CostModel,
-    FreeSiteHarness, GreedyRouter, InstanceFeatures, LookaheadRouter, MultiAodScheduler,
-    RoutingState, RoutingStrategy, SiteBias, SitePolicy, StageRouting, ZeroBias, SITES_PRUNED,
-    SITE_SCANS,
+    greedy_move_schedule, group_stage_moves, movement_wall_clock, AutoRouter, BiasFn,
+    FreeSiteHarness, GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingState,
+    RoutingStrategy, SitePolicy, StageRouting, ZeroBias, SITES_PRUNED, SITE_SCANS,
 };
 pub use stage_partition::{partition_stages, Stage};
 pub use stage_schedule::schedule_stages;

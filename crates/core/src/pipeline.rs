@@ -27,7 +27,7 @@
 //! through every stage transition.
 //!
 //! The [`CompilerBackend`] trait is the open entry point tying it together:
-//! any compiler that lowers a [`BlockProgram`] onto an [`Architecture`] can
+//! any compiler that lowers a [`Circuit`] onto an [`Architecture`] can
 //! implement it and participate in the experiment harness alongside
 //! [`PowerMoveCompiler`](crate::PowerMoveCompiler) and the Enola baseline —
 //! no harness changes required.
@@ -44,7 +44,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A compiler that lowers block programs onto a neutral-atom machine.
+/// A compiler that lowers circuits onto a neutral-atom machine.
 ///
 /// Implementations are registered with the experiment harness as trait
 /// objects, so new compilation strategies (ablations, alternative routers,
@@ -59,7 +59,7 @@ use std::time::Instant;
 /// use powermove::{
 ///     CompileError, CompilerBackend, CompilerConfig, PowerMoveCompiler,
 /// };
-/// use powermove_circuit::BlockProgram;
+/// use powermove_circuit::Circuit;
 /// use powermove_hardware::Architecture;
 /// use powermove_schedule::CompiledProgram;
 ///
@@ -74,17 +74,17 @@ use std::time::Instant;
 ///     }
 ///     fn compile(
 ///         &self,
-///         blocks: &BlockProgram,
+///         circuit: &Circuit,
 ///         arch: &Architecture,
 ///     ) -> Result<CompiledProgram, CompileError> {
-///         self.0.compile_block_program(blocks, arch)
+///         self.0.compile(circuit, arch)
 ///     }
 /// }
 ///
 /// let backend = MyBackend(PowerMoveCompiler::new(CompilerConfig::default()));
-/// let mut circuit = powermove_circuit::Circuit::new(2);
+/// let mut circuit = Circuit::new(2);
 /// circuit.cz(powermove_circuit::Qubit::new(0), powermove_circuit::Qubit::new(1))?;
-/// let program = backend.compile_circuit(&circuit, &Architecture::for_qubits(2))?;
+/// let program = backend.compile(&circuit, &Architecture::for_qubits(2))?;
 /// assert_eq!(program.cz_gate_count(), 1);
 /// # Ok::<(), powermove::CompileError>(())
 /// ```
@@ -101,32 +101,17 @@ pub trait CompilerBackend: Send + Sync {
     /// Human-readable description of the active configuration.
     fn config_description(&self) -> String;
 
-    /// Compiles an already-synthesized block program for `arch`.
+    /// Compiles `circuit` for `arch`.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError`] if the machine cannot host the program or
+    /// Returns a [`CompileError`] if the machine cannot host the circuit or
     /// the backend fails to lower it.
     fn compile(
         &self,
-        blocks: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError>;
-
-    /// Convenience entry point: synthesizes `circuit` into blocks, then
-    /// compiles it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompilerBackend::compile`].
-    fn compile_circuit(
-        &self,
         circuit: &Circuit,
         arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError> {
-        let blocks = BlockProgram::from_circuit(circuit);
-        self.compile(&blocks, arch)
-    }
+    ) -> Result<CompiledProgram, CompileError>;
 }
 
 /// Shared state threaded through the pipeline passes: wall-clock timings and
@@ -895,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_trait_compiles_blocks_and_circuits() {
+    fn backend_trait_compiles_circuits() {
         let arch = Architecture::for_qubits(4);
         let compiler = PowerMoveCompiler::new(CompilerConfig::default());
         let backend: &dyn CompilerBackend = &compiler;
@@ -905,14 +890,10 @@ mod tests {
         let mut circuit = Circuit::new(4);
         circuit.cz(q(0), q(1)).unwrap();
         circuit.cz(q(2), q(3)).unwrap();
-        let via_circuit = backend.compile_circuit(&circuit, &arch).unwrap();
-        let via_blocks = backend
-            .compile(&BlockProgram::from_circuit(&circuit), &arch)
-            .unwrap();
-        assert_eq!(via_circuit.cz_gate_count(), 2);
-        assert_eq!(via_circuit.cz_gate_count(), via_blocks.cz_gate_count());
-        // The circuit entry point also times synthesis.
-        assert!(via_circuit
+        let via_backend = backend.compile(&circuit, &arch).unwrap();
+        assert_eq!(via_backend.cz_gate_count(), 2);
+        // The trait entry point runs the whole pipeline, synthesis included.
+        assert!(via_backend
             .metadata()
             .pass_seconds(SynthesisPass::NAME)
             .is_some());

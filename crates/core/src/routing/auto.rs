@@ -1,42 +1,31 @@
 //! The routing auto-tuner: per-instance selection over the built-in
 //! strategy portfolio.
 //!
-//! PR 4 made routing pluggable; this layer makes picking the winning
-//! strategy automatic. [`AutoRouter`] is a **program-level** selector, not a
-//! per-stage [`RoutingStrategy`]: the pass pipeline
-//! hands it the staged program and it returns the routed program plus
-//! instruction stream of the winning candidate. Two modes, selected by
-//! [`RoutingStrategyKind::Auto`]'s `portfolio` flag:
+//! Routing is pluggable; this layer makes picking the winning strategy
+//! automatic. [`AutoRouter`] is a **program-level** selector, not a
+//! per-stage [`RoutingStrategy`]: the pass pipeline hands it the staged
+//! program and it returns the routed program plus instruction stream of the
+//! winning candidate. Every candidate **replays only the back end** from the
+//! one shared frozen staged program through a [`RoutingSession`] (fanned
+//! out over the `powermove-exec` thread pool, one scratch pass context per
+//! replay, merged back in candidate order so the result is byte-identical
+//! at any worker count) and the schedule with the lower movement wall clock
+//! wins; ties break to fewer SLM↔AOD transfers, then to the earlier
+//! candidate — greedy first. The winner can therefore never be worse than
+//! any portfolio member on movement wall clock.
 //!
-//! * **portfolio** (`portfolio: true`, [`RoutingConfig::auto`]) — every
-//!   candidate **replays only the back end** from the one shared frozen
-//!   staged program through a [`RoutingSession`]
-//!   (fanned out over the `powermove-exec` thread pool, one scratch pass
-//!   context per replay, merged back in candidate order so the result is
-//!   byte-identical at any worker count) and the schedule with the lower
-//!   movement wall clock wins; ties break to fewer SLM↔AOD transfers, then
-//!   to the earlier candidate — greedy first. The winner can therefore
-//!   never be worse than any portfolio member on movement wall clock.
-//! * **cost model** (`portfolio: false`, [`RoutingConfig::auto_model`]) —
-//!   the [`CostModel`] predicts each candidate's movement wall clock from
-//!   [`InstanceFeatures`] and only the predicted winner compiles.
-//!
-//! Either way the winning strategy's name lands in
+//! The winning strategy's name lands in
 //! [`CompileMetadata::selected_strategy`], the number of back-end replays
 //! in the [`AutoRouter::PORTFOLIO_COUNTER`] pass counter and the single
 //! shared front-end pass in [`AutoRouter::STAGE_COUNTER`], so bench reports
 //! and diagnostics can attribute both the decision and its cost shape (one
 //! stage + N route replays, not N full compiles).
 //!
-//! [`RoutingStrategyKind::Auto`]: crate::RoutingStrategyKind::Auto
-//! [`RoutingConfig::auto`]: crate::RoutingConfig::auto
-//! [`RoutingConfig::auto_model`]: crate::RoutingConfig::auto_model
 //! [`CompileMetadata::selected_strategy`]: powermove_schedule::CompileMetadata
 
 use crate::compiler::{Replay, RoutingSession};
 use crate::config::RoutingConfig;
-use crate::pipeline::{CompileContext, MovePass, RoutePass, RoutedProgram, StagedProgram};
-use crate::routing::cost::{CostModel, InstanceFeatures};
+use crate::pipeline::{CompileContext, RoutedProgram};
 use crate::routing::{GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingStrategy};
 use crate::CompileError;
 use powermove_exec::ThreadPool;
@@ -46,19 +35,15 @@ use std::sync::Arc;
 
 /// The per-instance routing auto-tuner (see the module docs).
 pub struct AutoRouter {
-    portfolio: bool,
-    model: CostModel,
-    // Each candidate carries the kind the cost model scores it under, so
-    // the model and the compiled strategy can never drift apart by index.
     candidates: Vec<(crate::RoutingStrategyKind, Arc<dyn RoutingStrategy>)>,
 }
 
 impl AutoRouter {
     /// Name of the pass counter recording how many back-end replays the
-    /// auto-tuner performed for one program (the portfolio size in portfolio
-    /// mode, one in cost-model mode). Every replay shares the single
-    /// front-end pass recorded by [`AutoRouter::STAGE_COUNTER`] — candidates
-    /// are route-only replays, not full compiles.
+    /// auto-tuner performed for one program (the portfolio size). Every
+    /// replay shares the single front-end pass recorded by
+    /// [`AutoRouter::STAGE_COUNTER`] — candidates are route-only replays,
+    /// not full compiles.
     pub const PORTFOLIO_COUNTER: &'static str = "portfolio_compiles";
 
     /// Name of the pass counter recording how many front-end (stage) passes
@@ -74,11 +59,6 @@ impl AutoRouter {
     #[must_use]
     pub fn from_config(config: &RoutingConfig) -> Self {
         AutoRouter {
-            portfolio: matches!(
-                config.strategy,
-                crate::RoutingStrategyKind::Auto { portfolio: true }
-            ),
-            model: CostModel::new(),
             candidates: vec![
                 (crate::RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
                 (
@@ -93,68 +73,42 @@ impl AutoRouter {
         }
     }
 
-    /// Whether every candidate is compiled (portfolio mode) instead of only
-    /// the cost model's predicted winner.
-    #[must_use]
-    pub fn is_portfolio(&self) -> bool {
-        self.portfolio
-    }
-
-    /// The candidate strategies with the kinds the cost model scores them
-    /// under, in tie-breaking preference order.
+    /// The candidate strategies with their kinds, in tie-breaking
+    /// preference order.
     #[must_use]
     pub fn candidates(&self) -> &[(crate::RoutingStrategyKind, Arc<dyn RoutingStrategy>)] {
         &self.candidates
     }
 
-    /// Routes and schedules `staged` with the selected strategy, recording
-    /// the selection in `ctx` (see the module docs for both modes).
+    /// Routes and schedules the session's staged program with the selected
+    /// strategy, recording the selection in `ctx` (see the module docs).
     ///
-    /// Candidate replays run concurrently on `pool` through one shared
-    /// [`RoutingSession`], each on its own scratch context; replay records
+    /// Candidate replays run concurrently on `pool` through the shared
+    /// `session`, each on its own scratch context; replay records
     /// merge back in candidate order, so timing and counter layout — like
     /// the emitted program — is identical for every worker count. Merged
-    /// counters report **total work across candidates** (three route passes
-    /// in portfolio mode), mirroring how parallel passes report total work
-    /// time.
+    /// counters report **total work across candidates** (three route
+    /// passes), mirroring how parallel passes report total work time.
     ///
     /// # Errors
     ///
-    /// In portfolio mode a candidate that fails to route is dropped from
-    /// the selection — the error (first in candidate order) surfaces only
-    /// when **every** candidate fails, so auto compiles whenever any
-    /// portfolio member does. Cost-model mode compiles one candidate and
-    /// returns its [`CompileError`] directly.
+    /// A candidate that fails to route is dropped from the selection — the
+    /// error (first in candidate order) surfaces only when **every**
+    /// candidate fails, so auto compiles whenever any portfolio member
+    /// does.
     pub fn run(
         &self,
-        staged: &StagedProgram,
+        session: &RoutingSession<'_>,
         arch: &Architecture,
-        use_storage: bool,
-        use_grouping: bool,
         pool: &ThreadPool,
         ctx: &mut CompileContext,
     ) -> Result<(RoutedProgram, Vec<Instruction>), CompileError> {
         ctx.count(Self::STAGE_COUNTER, 1);
-        if !self.portfolio {
-            let features = InstanceFeatures::of(staged, arch);
-            let strategy = self.predicted_winner(&features);
-            ctx.count(Self::PORTFOLIO_COUNTER, 1);
-            ctx.select_strategy(strategy.name());
-            let routed = RoutePass::new(use_storage)
-                .with_strategy(strategy.clone())
-                .run(staged, arch, ctx)?;
-            let instructions = MovePass::new(use_grouping)
-                .with_strategy(strategy.clone())
-                .run(&routed, arch, pool, ctx);
-            return Ok((routed, instructions));
-        }
-
-        // Portfolio mode: every candidate is a route-only replay over the
-        // one shared frozen staged program (each replay runs its own
-        // sequential back end inside one pool job), so the per-candidate
-        // output is deterministic and the cross-candidate fan-out is where
-        // the parallelism lives.
-        let session = RoutingSession::new(staged, use_storage, use_grouping);
+        // Every candidate is a route-only replay over the one shared frozen
+        // staged program (each replay runs its own sequential back end
+        // inside one pool job), so the per-candidate output is
+        // deterministic and the cross-candidate fan-out is where the
+        // parallelism lives.
         let jobs: Vec<Arc<dyn RoutingStrategy>> = self
             .candidates
             .iter()
@@ -216,27 +170,11 @@ impl AutoRouter {
             None => Err(first_error.expect("the portfolio is never empty")),
         }
     }
-
-    /// The candidate the cost model predicts to move fastest; prediction
-    /// ties keep the earlier candidate (greedy first).
-    fn predicted_winner(&self, features: &InstanceFeatures) -> &Arc<dyn RoutingStrategy> {
-        let mut winner = &self.candidates[0].1;
-        let mut winner_cost = f64::INFINITY;
-        for (kind, strategy) in &self.candidates {
-            let cost = self.model.predict(*kind, features);
-            if cost < winner_cost {
-                winner = strategy;
-                winner_cost = cost;
-            }
-        }
-        winner
-    }
 }
 
 impl std::fmt::Debug for AutoRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AutoRouter")
-            .field("portfolio", &self.portfolio)
             .field(
                 "candidates",
                 &self
@@ -284,7 +222,6 @@ mod tests {
     #[test]
     fn from_config_builds_the_three_candidate_portfolio() {
         let auto = AutoRouter::from_config(&RoutingConfig::auto());
-        assert!(auto.is_portfolio());
         let names: Vec<&str> = auto
             .candidates()
             .iter()
@@ -295,14 +232,10 @@ mod tests {
             .iter()
             .map(|(kind, _)| kind.name())
             .collect();
-        assert_eq!(
-            names, kinds,
-            "each candidate is scored under its own strategy's kind"
-        );
+        assert_eq!(names, kinds, "each candidate carries its own kind");
         assert_eq!(names, vec!["greedy", "lookahead", "multi-aod"]);
-        assert!(!AutoRouter::from_config(&RoutingConfig::auto_model()).is_portfolio());
         let debug = format!("{auto:?}");
-        assert!(debug.contains("portfolio: true") && debug.contains("multi-aod"));
+        assert!(debug.contains("multi-aod"));
     }
 
     #[test]
@@ -336,25 +269,6 @@ mod tests {
         // One shared front-end pass, three route-only back-end replays.
         assert_eq!(metadata.counter(AutoRouter::PORTFOLIO_COUNTER), Some(3));
         assert_eq!(metadata.counter(AutoRouter::STAGE_COUNTER), Some(1));
-    }
-
-    #[test]
-    fn model_mode_records_a_single_compile() {
-        let program = compile(RoutingConfig::auto_model(), 12, 3);
-        assert!(validate(&program).is_ok());
-        assert_eq!(
-            program.metadata().counter(AutoRouter::PORTFOLIO_COUNTER),
-            Some(1)
-        );
-        assert_eq!(
-            program.metadata().counter(AutoRouter::STAGE_COUNTER),
-            Some(1)
-        );
-        // At three AODs the model predicts the multi-AOD scheduler.
-        assert_eq!(
-            program.metadata().selected_strategy.as_deref(),
-            Some("multi-aod")
-        );
     }
 
     #[test]
@@ -416,8 +330,6 @@ mod tests {
         }
 
         let broken_first = AutoRouter {
-            portfolio: true,
-            model: CostModel::new(),
             candidates: vec![
                 (crate::RoutingStrategyKind::Lookahead, Arc::new(AlwaysFails)),
                 (crate::RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
@@ -428,26 +340,18 @@ mod tests {
         let blocks = SynthesisPass.run(&ring_circuit(8), &mut ctx);
         let pool = ThreadPool::new(Parallelism::fixed(2));
         let staged = StagePass::new(0.5).run(&blocks, &pool, &mut ctx);
+        let session = RoutingSession::new(&staged, true, true);
         let (_, instructions) = broken_first
-            .run(&staged, &arch, true, true, &pool, &mut ctx)
+            .run(&session, &arch, &pool, &mut ctx)
             .expect("the surviving greedy candidate wins");
         assert!(!instructions.is_empty());
         assert_eq!(ctx.selected_strategy(), Some("greedy"));
 
         // Every candidate failing surfaces the first error in order.
         let all_broken = AutoRouter {
-            portfolio: true,
-            model: CostModel::new(),
             candidates: vec![(crate::RoutingStrategyKind::Greedy, Arc::new(AlwaysFails))],
         };
-        let result = all_broken.run(
-            &staged,
-            &arch,
-            true,
-            true,
-            &pool,
-            &mut CompileContext::new(),
-        );
+        let result = all_broken.run(&session, &arch, &pool, &mut CompileContext::new());
         assert!(matches!(result, Err(CompileError::NoFreeSite { .. })));
     }
 
@@ -460,7 +364,12 @@ mod tests {
         let pool = ThreadPool::new(Parallelism::fixed(2));
         let staged = StagePass::new(0.5).run(&blocks, &pool, &mut ctx);
         let (routed, instructions) = auto
-            .run(&staged, &arch, true, true, &pool, &mut ctx)
+            .run(
+                &RoutingSession::new(&staged, true, true),
+                &arch,
+                &pool,
+                &mut ctx,
+            )
             .unwrap();
         assert_eq!(routed.segments().len(), 0);
         assert!(instructions.is_empty());

@@ -31,11 +31,9 @@
 //! work.
 //!
 //! On top of the per-stage strategies sits the **auto-tuning layer**
-//! ([`auto`], [`cost`]): [`RoutingStrategyKind::Auto`] makes the pipeline
-//! select the winning strategy *per instance*, either by compiling the whole
-//! portfolio and keeping the fastest-moving schedule ([`AutoRouter`] in
-//! portfolio mode) or by trusting a [`CostModel`] prediction from cheap
-//! instance features.
+//! ([`auto`]): [`RoutingStrategyKind::Auto`] makes the pipeline select the
+//! winning strategy *per instance* by replaying the whole portfolio and
+//! keeping the fastest-moving schedule ([`AutoRouter`]).
 //!
 //! Custom strategies drop in through
 //! [`PowerMoveCompiler::with_strategy`](crate::PowerMoveCompiler::with_strategy);
@@ -49,7 +47,6 @@
 //! [`RoutingStrategyKind::Auto`]: crate::RoutingStrategyKind::Auto
 
 pub mod auto;
-pub mod cost;
 mod greedy;
 mod lookahead;
 mod multi_aod;
@@ -57,7 +54,6 @@ mod site_index;
 mod state;
 
 pub use auto::AutoRouter;
-pub use cost::{CostModel, InstanceFeatures};
 pub use greedy::GreedyRouter;
 pub use lookahead::LookaheadRouter;
 pub use multi_aod::MultiAodScheduler;
@@ -66,9 +62,7 @@ pub use multi_aod::MultiAodScheduler;
 // primary consumer.
 pub use powermove_schedule::movement_wall_clock;
 pub use site_index::{SITES_PRUNED, SITE_SCANS};
-pub use state::{
-    BiasFn, FreeSiteHarness, RoutingState, SiteBias, SitePolicy, StageRouting, ZeroBias,
-};
+pub use state::{BiasFn, FreeSiteHarness, RoutingState, SitePolicy, StageRouting, ZeroBias};
 
 use crate::config::{RoutingConfig, RoutingStrategyKind};
 use crate::{group_moves, order_coll_moves, pack_move_groups, CompileError, Stage};
@@ -176,9 +170,7 @@ impl RoutingConfig {
     #[must_use]
     pub fn build(&self) -> Arc<dyn RoutingStrategy> {
         match self.strategy {
-            RoutingStrategyKind::Greedy | RoutingStrategyKind::Auto { .. } => {
-                Arc::new(GreedyRouter)
-            }
+            RoutingStrategyKind::Greedy | RoutingStrategyKind::Auto => Arc::new(GreedyRouter),
             RoutingStrategyKind::Lookahead => Arc::new(LookaheadRouter::new(self.lookahead)),
             RoutingStrategyKind::MultiAod => Arc::new(MultiAodScheduler::new(self.aod_assignment)),
         }
@@ -206,7 +198,6 @@ mod tests {
         // Auto is resolved by the pipeline; the per-stage fallback is the
         // portfolio's greedy baseline.
         assert_eq!(RoutingConfig::auto().build().name(), "greedy");
-        assert_eq!(RoutingConfig::auto_model().build().name(), "greedy");
     }
 
     #[test]

@@ -157,13 +157,6 @@ impl<F: Fn(Qubit, Qubit, SiteId) -> f64> SitePolicy for BiasFn<F> {
     }
 }
 
-/// Extra cost added to a candidate interaction site while resolving an
-/// undecided pair `(anchor, mobile)`.
-///
-/// Superseded by [`SitePolicy`] (wrap closures in [`BiasFn`]); kept for the
-/// deprecated [`RoutingState::route_stage_scored`] entry point.
-pub type SiteBias<'a> = dyn Fn(Qubit, Qubit, SiteId) -> f64 + 'a;
-
 /// Marks a site as not present in any free list.
 const NOT_FREE: usize = usize::MAX;
 
@@ -610,44 +603,6 @@ impl RoutingState {
             arena.storage_mover[m.qubit.as_usize()] = false;
         }
         Ok(routing)
-    }
-
-    /// Plans the stage under the [`ZeroBias`] policy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoutingState::route_stage_with`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `route_stage_with(stage, &ZeroBias)` — a `SitePolicy` also \
-                carries the admissible pruning bound `SitePolicy::min_bias` \
-                the free-site search cuts off against"
-    )]
-    pub fn route_stage(&mut self, stage: &Stage) -> Result<StageRouting, CompileError> {
-        self.route_stage_with(stage, &ZeroBias)
-    }
-
-    /// Plans the stage under a closure-based bias.
-    ///
-    /// The closure must return nonnegative values: the shim wraps it in
-    /// [`BiasFn`], whose [`SitePolicy::min_bias`] pruning bound is the
-    /// default `0.0` (see the [`SitePolicy`] contract).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoutingState::route_stage_with`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `route_stage_with(stage, &BiasFn::new(...))` for nonnegative \
-                biases, or implement `SitePolicy` directly to pair a custom bias \
-                with its admissible `min_bias` pruning bound"
-    )]
-    pub fn route_stage_scored(
-        &mut self,
-        stage: &Stage,
-        bias: &SiteBias<'_>,
-    ) -> Result<StageRouting, CompileError> {
-        self.route_stage_with(stage, &BiasFn::new(bias))
     }
 }
 

@@ -78,28 +78,6 @@ impl EnolaCompiler {
     ) -> Result<CompiledProgram, HardwareError> {
         let mut ctx = CompileContext::new();
         let block_program = ctx.time("synthesis", |_| BlockProgram::from_circuit(circuit));
-        self.compile_with_context(&block_program, arch, ctx)
-    }
-
-    /// Compiles an already-synthesized block program.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnolaCompiler::compile`].
-    pub fn compile_block_program(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, HardwareError> {
-        self.compile_with_context(block_program, arch, CompileContext::new())
-    }
-
-    fn compile_with_context(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-        mut ctx: CompileContext,
-    ) -> Result<CompiledProgram, HardwareError> {
         let n = block_program.num_qubits();
         if arch.grid().num_compute_sites() < n as usize {
             return Err(HardwareError::InsufficientCapacity {
@@ -198,15 +176,6 @@ impl CompilerBackend for EnolaCompiler {
     }
 
     fn compile(
-        &self,
-        blocks: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError> {
-        self.compile_block_program(blocks, arch)
-            .map_err(CompileError::Hardware)
-    }
-
-    fn compile_circuit(
         &self,
         circuit: &Circuit,
         arch: &Architecture,

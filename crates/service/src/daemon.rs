@@ -343,6 +343,37 @@ mod tests {
     }
 
     #[test]
+    fn removed_routing_strategy_is_a_typed_error_and_serving_continues() {
+        let service = CompileService::new(8);
+        let daemon = Daemon::new(&service).with_parallelism(Parallelism::fixed(1));
+        let input = concat!(
+            r#"{"id": 7, "benchmark": {"family": "BV", "qubits": 6}, "config": {"routing": "auto-model"}}"#,
+            "\n",
+            r#"{"id": 8, "benchmark": {"family": "BV", "qubits": 6}, "config": {"routing": "auto"}}"#,
+            "\n",
+            r#"{"id": 9, "op": "shutdown"}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let report = daemon.serve(input.as_bytes(), &mut out);
+        assert_eq!(report.frames, 3);
+        assert_eq!(report.errors, 1);
+        assert!(report.shutdown);
+        let frames = parse_lines(&out);
+        let reply = |id: i64| {
+            frames
+                .iter()
+                .find(|f| f.get("id").and_then(Value::as_i64) == Some(id))
+                .unwrap_or_else(|| panic!("no reply for id {id}"))
+        };
+        let rejected = reply(7);
+        assert_eq!(rejected.get("ok").and_then(Value::as_bool), Some(false));
+        let error = rejected.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("unknown routing strategy"), "{error}");
+        assert_eq!(reply(8).get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    #[test]
     fn end_of_input_without_shutdown_reports_clean_exit() {
         let service = CompileService::new(8);
         let daemon = Daemon::new(&service).with_parallelism(Parallelism::fixed(1));

@@ -320,7 +320,6 @@ fn parse_config(id: i64, value: Option<&Value>) -> Result<CompilerConfig, FrameE
             "lookahead" => RoutingConfig::lookahead(lookahead),
             "multi-aod" => RoutingConfig::multi_aod(),
             "auto" => RoutingConfig::auto(),
-            "auto-model" => RoutingConfig::auto_model(),
             other => {
                 return Err(FrameError::new(
                     Some(id),

@@ -10,7 +10,7 @@ use powermove_schedule::{canonical_json, fnv1a_64, CompiledProgram};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How a compile request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +170,7 @@ impl CompileService {
                     };
                     return Ok((program, outcome));
                 }
-                if !inner.in_flight.contains(&key) {
-                    inner.in_flight.insert(key);
+                if inner.in_flight.insert(key) {
                     break;
                 }
                 waited = true;
@@ -185,19 +184,17 @@ impl CompileService {
         // the condvar above, different requests proceed in parallel. The
         // front end is served from the stage cache when possible, so a
         // request that differs from a cached one only in architecture pays
-        // only for the route/emit back end.
+        // only for the route/emit back end. The claim releases the key and
+        // wakes waiters on every exit path, a panicking compile included.
+        let _claim = InFlightClaim { service: self, key };
         let result = self.emit_via_stage_cache(circuit, arch, config);
-        let mut inner = self.inner.lock().expect("service lock poisoned");
-        inner.in_flight.remove(&key);
-        let result = result.map(|program| {
+        result.map(|program| {
             self.compiles.fetch_add(1, Ordering::Relaxed);
             let program = Arc::new(program);
+            let mut inner = self.inner.lock().expect("service lock poisoned");
             inner.cache.insert(key, Arc::clone(&program));
             (program, CacheOutcome::Miss)
-        });
-        drop(inner);
-        self.landed.notify_all();
-        result
+        })
     }
 
     /// Runs one cold compile, reusing a cached front-end IR if one exists
@@ -279,6 +276,29 @@ impl CompileService {
     }
 }
 
+/// Ownership of one in-flight content key: dropping it removes the key and
+/// wakes every request waiting on it, so a compile that returns, fails or
+/// panics never leaves identical requests blocked.
+struct InFlightClaim<'a> {
+    service: &'a CompileService,
+    key: u64,
+}
+
+impl Drop for InFlightClaim<'_> {
+    fn drop(&mut self) {
+        // Recover a poisoned lock: this runs while unwinding, where a second
+        // panic would abort the process.
+        let mut inner = self
+            .service
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.in_flight.remove(&self.key);
+        drop(inner);
+        self.service.landed.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +364,39 @@ mod tests {
             powermove_schedule::canonical_program_bytes(&via_cache),
             powermove_schedule::canonical_program_bytes(&direct),
         );
+    }
+
+    #[test]
+    fn a_panicking_compile_releases_its_key() {
+        let service = Arc::new(CompileService::new(16));
+        let (circuit, arch, config) = (
+            ring(6),
+            Architecture::for_qubits(6),
+            CompilerConfig::default(),
+        );
+        let key = content_hash(&circuit, &arch, &config).value();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            assert!(service.inner.lock().unwrap().in_flight.insert(key));
+            let _claim = InFlightClaim {
+                service: &service,
+                key,
+            };
+            panic!("compile panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(service.inner.lock().unwrap().in_flight.is_empty());
+
+        // An identical request compiles instead of waiting forever.
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let outcome = worker.compile(&circuit, &arch, &config).map(|(_, o)| o);
+            sender.send(outcome).unwrap();
+        });
+        let outcome = receiver
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("identical request wedged behind a panicked compile");
+        assert_eq!(outcome.unwrap(), CacheOutcome::Miss);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn every_suite_family_compiles_and_validates_under_every_backend() {
         for entry in registry.iter() {
             let program = entry
                 .backend()
-                .compile_circuit(&instance.circuit, &arch)
+                .compile(&instance.circuit, &arch)
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", entry.id(), instance.name));
             validate(&program).unwrap_or_else(|e| {
                 panic!(

@@ -110,7 +110,7 @@ fn backend_trait_objects_are_shareable_across_threads() {
     let programs = pool.par_map(vec![(); 8], |()| {
         program_bytes(
             &backend
-                .compile_circuit(&instance.circuit, &arch)
+                .compile(&instance.circuit, &arch)
                 .expect("compiles concurrently"),
         )
     });

@@ -7,13 +7,11 @@
 //! that safe:
 //!
 //! * emitting a shared staged IR under an explicit strategy
-//!   (`emit_with_strategy`) is byte-identical to a full compile configured
-//!   with the same strategy — across every suite family and at 1, 2 and 4
-//!   worker threads;
+//!   (`with_strategy(..).emit(..)`) is byte-identical to a full compile
+//!   configured with the same strategy — across every suite family and at
+//!   1, 2 and 4 worker threads;
 //! * the portfolio auto-tuner's emitted program equals the best replay's
 //!   instruction stream under its own (movement, transfers) selection rule;
-//! * the deprecated `route_stage` / `route_stage_scored` shims plan exactly
-//!   what the `SitePolicy`-based `route_stage_with` plans;
 //! * a property test replays random stage chains through the arena-backed
 //!   router and through a verbatim port of the pre-arena `BTreeMap`
 //!   planner, asserting identical move plans and layouts after every stage
@@ -70,7 +68,9 @@ fn replay_emission_matches_the_full_compile_for_every_family_and_thread_count() 
                 // Stage once, then emit through the replay path.
                 let ir = compiler.stage(&instance.circuit);
                 let replayed = compiler
-                    .emit_with_strategy(&ir, &arch, strategy.clone())
+                    .clone()
+                    .with_strategy(strategy.clone())
+                    .emit(&ir, &arch)
                     .expect("replay emission succeeds");
                 assert_eq!(
                     canonical_program_bytes(&full),
@@ -130,40 +130,6 @@ fn portfolio_output_equals_the_best_replay() {
             best.movement_wall_clock().to_bits(),
             "{family}: replay's incremental clock diverged from the emitted stream"
         );
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_plan_exactly_what_the_policy_api_plans() {
-    let arch = Architecture::for_qubits(8);
-    let stages = [
-        stage(&[(0, 1), (2, 3), (4, 5), (6, 7)]),
-        stage(&[(1, 2), (3, 4), (5, 6)]),
-        stage(&[(0, 7), (2, 5)]),
-    ];
-    for use_storage in [true, false] {
-        let zone = if use_storage {
-            Zone::Storage
-        } else {
-            Zone::Compute
-        };
-        let layout = Layout::row_major(&arch, 8, zone).unwrap();
-        let mut shimmed = RoutingState::new(arch.clone(), layout.clone(), use_storage);
-        let mut scored = RoutingState::new(arch.clone(), layout.clone(), use_storage);
-        let mut policied = RoutingState::new(arch.clone(), layout, use_storage);
-        for st in &stages {
-            let a = shimmed.route_stage(st).unwrap();
-            let b = scored.route_stage_scored(st, &|_, _, _| 0.0).unwrap();
-            let c = policied.route_stage_with(st, &ZeroBias).unwrap();
-            assert_eq!(a, c, "route_stage shim diverged (storage={use_storage})");
-            assert_eq!(
-                b, c,
-                "route_stage_scored shim diverged (storage={use_storage})"
-            );
-        }
-        assert_eq!(shimmed.layout(), policied.layout());
-        assert_eq!(scored.layout(), policied.layout());
     }
 }
 

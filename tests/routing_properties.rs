@@ -1,10 +1,12 @@
 //! Randomized property tests of the routing/schedule invariants every
 //! strategy — and the auto-tuning layer on top of them — must preserve.
 //!
-//! A seeded generator (the vendored PRNG, so runs are reproducible bit for
-//! bit) drives random circuits through compile + `validate` under all four
-//! routing configurations (greedy, lookahead, multi-AOD scheduler, portfolio
-//! auto-tuner) at 1–4 AOD arrays, asserting for every case:
+//! The schedule linter's seeded corpus (`powermove_bench::lint`'s
+//! `CorpusInstance`: the vendored PRNG, so runs are reproducible bit for
+//! bit, cycling 1–4 AOD arrays and every architecture variant) drives
+//! random circuits through compile under all four routing configurations
+//! (greedy, lookahead, multi-AOD scheduler, portfolio auto-tuner),
+//! asserting for every case, through the linter's checks:
 //!
 //! * the program validates and preserves the circuit's CZ gates;
 //! * no AOD array is ever double-booked (zero intra-AOD window overlaps);
@@ -29,12 +31,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use powermove_suite::circuit::{Circuit, Qubit};
-use powermove_suite::hardware::{validate_aod_batches, AodBatch, Architecture, Zone};
-use powermove_suite::powermove::{
-    movement_wall_clock, CompilerConfig, PowerMoveCompiler, RoutingConfig,
+use powermove_bench::lint::{
+    check_aod_batches, check_fidelity_dominance, check_intra_aod_overlap, check_schedule,
+    check_storage_before_interaction, lint_strategies, shrink_instance, CorpusInstance,
 };
-use powermove_suite::schedule::{validate, CompiledProgram, Instruction, Timeline};
+use powermove_suite::circuit::{Circuit, Qubit};
+use powermove_suite::hardware::{Architecture, Zone};
+use powermove_suite::powermove::{
+    movement_wall_clock, CompileError, CompilerConfig, PowerMoveCompiler, RoutingConfig,
+};
+use powermove_suite::schedule::CompiledProgram;
 
 /// Default number of random cases; override with `POWERMOVE_PROP_CASES`.
 const DEFAULT_CASES: u64 = 200;
@@ -46,87 +52,18 @@ fn cases() -> u64 {
         .unwrap_or(DEFAULT_CASES)
 }
 
-/// One generated gate, kept as data so a failing case can be shrunk and
-/// rebuilt.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    H(u32),
-    Rz(u32),
-    Cz(u32, u32),
-}
-
-/// A reproducible random instance: width plus gate list.
-#[derive(Debug, Clone)]
-struct RandomInstance {
-    num_qubits: u32,
-    ops: Vec<Op>,
-}
-
-impl RandomInstance {
-    fn generate(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let num_qubits = rng.gen_range(4..=10_u32);
-        let num_ops = rng.gen_range(2..=28_usize);
-        let ops = (0..num_ops)
-            .filter_map(|_| {
-                let a = rng.gen_range(0..num_qubits);
-                let b = rng.gen_range(0..num_qubits);
-                match rng.gen_range(0_u8..4) {
-                    0 => Some(Op::H(a)),
-                    1 => Some(Op::Rz(a)),
-                    _ => (a != b).then_some(Op::Cz(a, b)),
-                }
-            })
-            .collect();
-        RandomInstance { num_qubits, ops }
-    }
-
-    fn circuit(&self) -> Circuit {
-        let mut circuit = Circuit::new(self.num_qubits);
-        for op in &self.ops {
-            match *op {
-                Op::H(q) => circuit.h(Qubit::new(q)).expect("in range"),
-                Op::Rz(q) => circuit.rz(Qubit::new(q), 0.17).expect("in range"),
-                Op::Cz(a, b) => circuit.cz(Qubit::new(a), Qubit::new(b)).expect("in range"),
-            }
-        }
-        circuit
-    }
-
-    /// A copy restricted to the first `len` gates.
-    fn truncated(&self, len: usize) -> Self {
-        RandomInstance {
-            num_qubits: self.num_qubits,
-            ops: self.ops[..len].to_vec(),
-        }
-    }
-}
-
-/// The four routing configurations under test, auto last so its portfolio
-/// members are compiled first in failure reports.
-fn strategies() -> [(&'static str, RoutingConfig); 4] {
-    [
-        ("greedy", RoutingConfig::greedy()),
-        ("lookahead2", RoutingConfig::lookahead(2)),
-        ("multi-aod", RoutingConfig::multi_aod()),
-        ("auto", RoutingConfig::auto()),
-    ]
-}
-
 fn compile(
-    instance: &RandomInstance,
+    circuit: &Circuit,
+    arch: &Architecture,
     routing: RoutingConfig,
-    aods: usize,
     threads: usize,
-) -> CompiledProgram {
-    let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(aods);
+) -> Result<CompiledProgram, CompileError> {
     PowerMoveCompiler::new(
         CompilerConfig::default()
             .with_routing(routing)
             .with_threads(threads),
     )
-    .compile(&instance.circuit(), &arch)
-    .expect("random instances fit the default grid")
+    .compile(circuit, arch)
 }
 
 /// Serializes the observable program content (wall clocks excluded).
@@ -139,168 +76,85 @@ fn program_bytes(program: &CompiledProgram) -> String {
     )
 }
 
-/// No AOD array may own two overlapping busy windows.
-fn check_intra_aod_overlaps(program: &CompiledProgram) -> Result<(), String> {
-    let windows = Timeline::of(program).aod_windows(program);
-    for (i, a) in windows.iter().enumerate() {
-        for b in &windows[i + 1..] {
-            if a.aod == b.aod && a.overlaps(b) {
-                return Err(format!("AOD {} double-booked", a.aod));
+/// Runs every invariant for one corpus case, returning every failure.
+fn check_case(instance: &CorpusInstance) -> Vec<String> {
+    let circuit = match instance.circuit() {
+        Ok(circuit) => circuit,
+        Err(error) => return vec![error],
+    };
+    let arch = instance.architecture();
+    let mut failures = Vec::new();
+    let mut programs = Vec::new();
+    for (name, routing) in lint_strategies() {
+        let program = match compile(&circuit, &arch, routing, 1) {
+            Ok(program) => program,
+            Err(error) => {
+                failures.push(format!("{name}: compilation failed: {error}"));
+                continue;
             }
-        }
-    }
-    Ok(())
-}
-
-/// Every move group must lower to a window of per-AOD batches that passes
-/// the hardware's batch validation (no duplicate AOD, conflict-free moves).
-fn check_aod_batches(program: &CompiledProgram) -> Result<(), String> {
-    let arch = program.architecture();
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        if let Instruction::MoveGroup { coll_moves } = instruction {
-            let batches: Vec<AodBatch> = coll_moves
-                .iter()
-                .map(|cm| AodBatch::new(cm.aod, cm.trap_moves(arch)))
-                .collect();
-            validate_aod_batches(&batches)
-                .map_err(|e| format!("instruction {index}: invalid AOD batches: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Within every stage transition, a storage-bound window must never come
-/// after an interaction window (the move-in-first guarantee the scheduler's
-/// balanced packing preserves). Only meaningful in with-storage mode, where
-/// the two move classes land in distinct zones.
-fn check_storage_before_interactions(program: &CompiledProgram) -> Result<(), String> {
-    let grid = program.architecture().grid();
-    let mut saw_interaction_window = false;
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        match instruction {
-            Instruction::RydbergStage { .. } => saw_interaction_window = false,
-            Instruction::MoveGroup { coll_moves } => {
-                let lands_in = |zone: Zone| {
-                    coll_moves
-                        .iter()
-                        .flat_map(|cm| cm.moves.iter())
-                        .any(|m| grid.zone_of(m.to) == zone)
-                };
-                if lands_in(Zone::Storage) && saw_interaction_window {
-                    return Err(format!(
-                        "instruction {index}: storage-bound window scheduled after an \
-                         interaction window"
-                    ));
-                }
-                if lands_in(Zone::Compute) {
-                    saw_interaction_window = true;
-                }
-            }
-            Instruction::OneQubitLayer { .. } => {}
-        }
-    }
-    Ok(())
-}
-
-/// Runs every invariant for one instance at one AOD count.
-fn check_case(instance: &RandomInstance, aods: usize) -> Result<(), String> {
-    let circuit = instance.circuit();
-    let mut movements = Vec::new();
-    for (name, routing) in strategies() {
-        let program = compile(instance, routing, aods, 1);
-        validate(&program).map_err(|e| format!("{name}: invalid program: {e}"))?;
-        if program.cz_gate_count() != circuit.cz_count() {
-            return Err(format!(
-                "{name}: {} CZ gates compiled, circuit has {}",
-                program.cz_gate_count(),
-                circuit.cz_count()
-            ));
-        }
-        check_intra_aod_overlaps(&program).map_err(|e| format!("{name}: {e}"))?;
-        check_aod_batches(&program).map_err(|e| format!("{name}: {e}"))?;
+        };
+        let mut checks = vec![
+            check_schedule(&program, Some(circuit.cz_count())),
+            check_aod_batches(&program),
+            check_intra_aod_overlap(&program),
+        ];
         if name == "multi-aod" {
-            check_storage_before_interactions(&program).map_err(|e| format!("{name}: {e}"))?;
+            checks.push(check_storage_before_interaction(&program));
         }
         if name == "auto" && !program.instructions().is_empty() {
-            let selected = program
-                .metadata()
-                .selected_strategy
-                .as_deref()
-                .ok_or_else(|| "auto: no selected_strategy recorded".to_string())?;
-            if !["greedy", "lookahead", "multi-aod"].contains(&selected) {
-                return Err(format!("auto: unknown selected strategy {selected:?}"));
-            }
+            checks.push(match program.metadata().selected_strategy.as_deref() {
+                Some("greedy" | "lookahead" | "multi-aod") => Ok(()),
+                other => Err(format!("selected strategy {other:?} recorded")),
+            });
         }
-        let movement = movement_wall_clock(program.instructions(), program.architecture());
-        movements.push((name, movement));
-
         // Determinism: the emitted program must not depend on the worker
         // count, including through the auto-tuner's portfolio fan-out.
         let reference = program_bytes(&program);
         for threads in [2, 4] {
-            let parallel = program_bytes(&compile(instance, routing, aods, threads));
-            if reference != parallel {
-                return Err(format!("{name}: threads=1 vs threads={threads} diverged"));
+            let parallel = compile(&circuit, &arch, routing, threads).map(|p| program_bytes(&p));
+            if parallel.as_ref() != Ok(&reference) {
+                checks.push(Err(format!("threads=1 vs threads={threads} diverged")));
             }
         }
+        failures.extend(
+            checks
+                .into_iter()
+                .filter_map(Result::err)
+                .map(|error| format!("{name}: {error}")),
+        );
+        programs.push((name, program));
     }
 
-    let auto = movements
-        .iter()
-        .find(|(name, _)| *name == "auto")
-        .expect("auto is in the portfolio")
-        .1;
-    // The standalone members above are configured identically to auto's
-    // portfolio candidates, so the selection must match the per-instance
-    // BEST member — a selector regression that picks second-best fails
-    // here, not just one that picks the worst.
-    let best_member = movements
-        .iter()
-        .filter(|(name, _)| *name != "auto")
-        .map(|(_, t)| *t)
-        .fold(f64::INFINITY, f64::min);
-    if auto > best_member + 1e-12 {
-        return Err(format!(
-            "auto moves {auto} s, worse than the best portfolio member ({best_member} s)"
-        ));
-    }
-    Ok(())
-}
-
-/// Shrinks a failing instance by halving the gate list while the failure
-/// reproduces, then returns the minimal reproducer and its error.
-fn shrink(instance: &RandomInstance, aods: usize, error: String) -> (RandomInstance, String) {
-    let mut smallest = instance.clone();
-    let mut message = error;
-    let mut len = smallest.ops.len();
-    while len > 1 {
-        len /= 2;
-        let candidate = smallest.truncated(len);
-        match check_case(&candidate, aods) {
-            Err(e) => {
-                smallest = candidate;
-                message = e;
-            }
-            Ok(()) => break,
+    // The members are configured identically to auto's portfolio
+    // candidates, so auto must match the per-instance BEST member — a
+    // selector regression that picks second-best fails here, not just one
+    // that picks the worst.
+    if let Some((_, auto)) = programs.iter().find(|(name, _)| *name == "auto") {
+        let members: Vec<(&str, &CompiledProgram)> = programs
+            .iter()
+            .filter(|(name, _)| *name != "auto")
+            .map(|(name, program)| (*name, program))
+            .collect();
+        if let Err(error) = check_fidelity_dominance(auto, &members) {
+            failures.push(format!("auto: {error}"));
         }
     }
-    (smallest, message)
+    failures
 }
 
 #[test]
 fn random_instances_preserve_every_routing_invariant() {
-    let cases = cases();
-    for seed in 0..cases {
-        let instance = RandomInstance::generate(seed);
-        // Cycle the AOD count so the run covers 1-4 arrays evenly.
-        let aods = 1 + (seed as usize % 4);
-        if let Err(error) = check_case(&instance, aods) {
-            let (minimal, message) = shrink(&instance, aods, error);
+    for seed in 0..cases() {
+        let instance = CorpusInstance::generate(seed);
+        if !check_case(&instance).is_empty() {
+            let (minimal, failures) = shrink_instance(&instance, check_case);
             panic!(
-                "seed {seed} ({aods} AODs) failed: {message}\nshrunk to {} of {} gates: {:?}",
+                "seed {seed} ({} AODs, {:?}) failed: {failures:?}\nshrunk to {} of {} gates: {:?}",
+                instance.num_aods,
+                instance.arch,
                 minimal.ops.len(),
                 instance.ops.len(),
-                minimal
+                minimal.ops
             );
         }
     }
@@ -310,14 +164,14 @@ fn random_instances_preserve_every_routing_invariant() {
 fn shrinking_reports_a_smaller_failing_case() {
     // A synthetic always-failing predicate: shrink-by-halving must walk the
     // gate list down instead of reporting the full-size instance.
-    let instance = RandomInstance::generate(7);
+    let instance = CorpusInstance::generate(7);
     assert!(instance.ops.len() > 2);
-    let halved = instance.truncated(instance.ops.len() / 2);
-    assert_eq!(halved.num_qubits, instance.num_qubits);
-    assert_eq!(halved.ops.len(), instance.ops.len() / 2);
+    let (minimal, failures) = shrink_instance(&instance, |_| vec!["always fails"]);
+    assert_eq!(minimal.num_qubits, instance.num_qubits);
+    assert_eq!(minimal.ops.len(), 1);
+    assert_eq!(failures, vec!["always fails"]);
     // And a truncation to 1 gate still builds a valid circuit.
-    let tiny = instance.truncated(1);
-    assert_eq!(tiny.circuit().num_gates(), 1);
+    assert_eq!(minimal.circuit().unwrap().num_gates(), 1);
 }
 
 #[test]
